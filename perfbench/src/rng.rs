@@ -1,0 +1,45 @@
+//! The benchmark's own seeded generator. Inputs must be a pure function
+//! of `--seed` and must not move when the program's vendored `rand`
+//! changes, so the benchmark does not borrow it.
+
+/// SplitMix64: tiny, fast, and fully specified by its seed.
+#[derive(Debug, Clone)]
+pub struct Rng(u64);
+
+impl Rng {
+    /// A generator for one named stream of one seed, so that streams of
+    /// one run (corpus, queries, arrivals per step) are independent.
+    pub fn stream(seed: u64, name: &str) -> Rng {
+        let mut h = seed ^ 0xcbf2_9ce4_8422_2325;
+        for b in name.bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+        Rng(h)
+    }
+
+    /// Next 64 random bits.
+    pub fn next_u64(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform in `[0, 1)`.
+    pub fn unit(&mut self) -> f64 {
+        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    /// Uniform in `0..n` (`n > 0`).
+    pub fn below(&mut self, n: usize) -> usize {
+        (self.unit() * n as f64) as usize % n
+    }
+
+    /// Fisher–Yates shuffle.
+    pub fn shuffle<T>(&mut self, items: &mut [T]) {
+        for i in (1..items.len()).rev() {
+            items.swap(i, self.below(i + 1));
+        }
+    }
+}
