@@ -53,9 +53,10 @@ pub use encoder::{LeafInit, TreeLstm};
 pub use model::{calibrated_similarity, callee_similarity, AsteriaModel, ModelConfig};
 pub use nodes::{digitalize, AstTree, NodeType};
 pub use pipeline::{
-    encode_function, extract_binary, extract_binary_resilient, extract_binary_resilient_with,
-    extract_function, extract_function_with, function_similarity, ExtractedFunction,
-    ExtractionReport, FunctionEncoding, FunctionOutcome, ResilientExtraction, DEFAULT_INLINE_BETA,
+    encode_function, encode_functions, extract_binary, extract_binary_resilient,
+    extract_binary_resilient_with, extract_function, extract_function_with, function_similarity,
+    ExtractedFunction, ExtractionReport, FunctionEncoding, FunctionOutcome, ResilientExtraction,
+    DEFAULT_INLINE_BETA,
 };
 pub use siamese::{SiameseHead, SiameseKind};
 pub use train::{

@@ -2,6 +2,7 @@
 //! callee-count calibration (paper §III, eq. 9–10).
 
 use std::io::{self, Read, Write};
+use std::sync::OnceLock;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -9,7 +10,7 @@ use rand::SeedableRng;
 use asteria_nn::{AdaGrad, Graph, Optimizer, ParamStore};
 
 use crate::binarize::BinTree;
-use crate::encoder::{LeafInit, TreeLstm};
+use crate::encoder::{InferenceKernel, LeafInit, TreeLstm};
 use crate::nodes::NodeType;
 use crate::siamese::{SiameseHead, SiameseKind};
 
@@ -66,6 +67,9 @@ pub struct AsteriaModel {
     tree_lstm: TreeLstm,
     head: SiameseHead,
     optimizer: AdaGrad,
+    /// The inference kernel, prepared from `store` on first use; every
+    /// weight change clears it.
+    kernel: OnceLock<InferenceKernel>,
 }
 
 impl std::fmt::Debug for AsteriaModel {
@@ -102,6 +106,7 @@ impl AsteriaModel {
             tree_lstm,
             head,
             optimizer,
+            kernel: OnceLock::new(),
         }
     }
 
@@ -115,9 +120,21 @@ impl AsteriaModel {
         self.store.num_weights()
     }
 
-    /// Encodes an AST into its semantic vector (the offline phase).
+    /// Encodes an AST into its semantic vector (the offline phase): a
+    /// forest of one for [`AsteriaModel::encode_forest`].
     pub fn encode(&self, tree: &BinTree) -> Vec<f32> {
-        self.tree_lstm.encode_to_vec(&self.store, tree)
+        self.encode_forest(&[tree])
+            .pop()
+            .expect("a forest of one tree has one encoding")
+    }
+
+    /// Encodes many ASTs at once — typically every function of one binary
+    /// — evaluating each subtree they share once. Bit-identical to
+    /// encoding each tree alone, and to the training tape.
+    pub fn encode_forest(&self, trees: &[&BinTree]) -> Vec<Vec<f32>> {
+        self.kernel
+            .get_or_init(|| InferenceKernel::new(&self.tree_lstm, &self.store))
+            .encode_forest(trees)
     }
 
     /// Full-pipeline similarity 𝓜(T₁, T₂) of two ASTs.
@@ -149,6 +166,7 @@ impl AsteriaModel {
         g.backward(loss, &mut self.store);
         self.store.clip_grad_norm(5.0);
         self.optimizer.step(&mut self.store);
+        self.kernel.take();
         loss_value
     }
 
@@ -168,6 +186,7 @@ impl AsteriaModel {
     ///
     /// Returns `InvalidData` when shapes or names do not match.
     pub fn load<R: Read>(&mut self, r: R) -> io::Result<()> {
+        self.kernel.take();
         self.store.load(r)
     }
 
@@ -317,6 +336,48 @@ mod tests {
             m.weights_digest(),
             "a train step must change the digest"
         );
+    }
+
+    /// The tape's encoding of `tree` under the model's current weights.
+    fn tape_encoding(m: &AsteriaModel, tree: &BinTree) -> Vec<u32> {
+        let mut g = Graph::new();
+        let h = m.tree_lstm.encode(&mut g, &m.store, tree);
+        g.value(h).as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    fn kernel_encoding(m: &AsteriaModel, tree: &BinTree) -> Vec<u32> {
+        m.encode(tree).iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn inference_follows_every_weight_change() {
+        // Each weight change must drop the prepared kernel: after it,
+        // `encode` agrees with the tape on the *new* weights.
+        let config = ModelConfig {
+            hidden_dim: 12,
+            embed_dim: 8,
+            ..Default::default()
+        };
+        let a = tree(&[NodeType::If, NodeType::Return, NodeType::While]);
+        let b = tree(&[NodeType::Switch, NodeType::Num]);
+        let mut m = AsteriaModel::new(config);
+        let fresh = kernel_encoding(&m, &a);
+        assert_eq!(fresh, tape_encoding(&m, &a));
+        let fresh_snapshot = m.snapshot();
+
+        m.train_pair(&a, &b, false);
+        let trained = kernel_encoding(&m, &a);
+        assert_ne!(trained, fresh, "training must move the encoding");
+        assert_eq!(trained, tape_encoding(&m, &a), "after train_pair");
+        let trained_snapshot = m.snapshot();
+
+        m.load(fresh_snapshot.as_slice()).unwrap();
+        assert_eq!(kernel_encoding(&m, &a), fresh, "after load");
+        assert_eq!(kernel_encoding(&m, &a), tape_encoding(&m, &a));
+
+        m.restore(&trained_snapshot).unwrap();
+        assert_eq!(kernel_encoding(&m, &a), trained, "after restore");
+        assert_eq!(kernel_encoding(&m, &a), tape_encoding(&m, &a));
     }
 
     #[test]

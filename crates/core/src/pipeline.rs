@@ -261,13 +261,28 @@ pub struct FunctionEncoding {
 
 /// Encodes an extracted function with a trained model.
 pub fn encode_function(model: &AsteriaModel, f: &ExtractedFunction) -> FunctionEncoding {
-    let enc = FunctionEncoding {
-        name: f.name.clone(),
-        vector: model.encode(&f.tree),
-        callee_count: f.callee_count,
-    };
-    asteria_obs::counter_add("asteria_functions_encoded_total", &[], 1);
-    enc
+    encode_functions(model, &[f])
+        .pop()
+        .expect("one function in, one encoding out")
+}
+
+/// Encodes several extracted functions — typically one binary's — as one
+/// forest, so subtrees they share are evaluated once
+/// ([`AsteriaModel::encode_forest`]). Bit-identical to encoding each alone.
+pub fn encode_functions(model: &AsteriaModel, fs: &[&ExtractedFunction]) -> Vec<FunctionEncoding> {
+    let trees: Vec<&BinTree> = fs.iter().map(|f| &f.tree).collect();
+    let encodings: Vec<FunctionEncoding> = model
+        .encode_forest(&trees)
+        .into_iter()
+        .zip(fs)
+        .map(|(vector, f)| FunctionEncoding {
+            name: f.name.clone(),
+            vector,
+            callee_count: f.callee_count,
+        })
+        .collect();
+    asteria_obs::counter_add("asteria_functions_encoded_total", &[], fs.len() as u64);
+    encodings
 }
 
 /// The final calibrated similarity ℱ(F₁, F₂) between two cached encodings

@@ -68,7 +68,7 @@ pub mod sink;
 pub mod span;
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
@@ -137,7 +137,11 @@ pub fn verbosity() -> Verbosity {
 /// no-op.
 pub fn install() -> &'static Collector {
     let c = COLLECTOR.get_or_init(Collector::new);
-    ENABLED.store(true, Ordering::Relaxed);
+    if !ENABLED.swap(true, Ordering::Relaxed) {
+        // A new recording window: records from an earlier one are stale.
+        let _spans = relock(c.spans.lock());
+        c.generation.fetch_add(1, Ordering::Relaxed);
+    }
     c
 }
 
@@ -190,6 +194,9 @@ pub struct Event {
 pub struct Collector {
     epoch: Instant,
     pub(crate) spans: Mutex<Vec<SpanRecord>>,
+    /// The recording window: bumped by [`install`] and
+    /// [`Collector::reset`], always while `spans` is locked.
+    pub(crate) generation: AtomicU64,
     pub(crate) metrics: Mutex<metrics::Metrics>,
     events: Mutex<Vec<Event>>,
 }
@@ -199,6 +206,7 @@ impl Collector {
         Collector {
             epoch: Instant::now(),
             spans: Mutex::new(Vec::new()),
+            generation: AtomicU64::new(0),
             metrics: Mutex::new(metrics::Metrics::default()),
             events: Mutex::new(Vec::new()),
         }
@@ -215,12 +223,15 @@ impl Collector {
         relock(self.events.lock()).push(Event { level, msg, t_us });
     }
 
-    /// Clears all recorded spans, metrics, and events (the current
-    /// thread's span buffer is flushed first so it cannot leak stale
-    /// records into the next window).
+    /// Clears all recorded spans, metrics, and events, and starts a new
+    /// recording window: span records still buffered on any thread from
+    /// before the reset are dropped when they flush.
     pub fn reset(&self) {
-        span::flush_current_thread();
-        relock(self.spans.lock()).clear();
+        {
+            let mut spans = relock(self.spans.lock());
+            self.generation.fetch_add(1, Ordering::Relaxed);
+            spans.clear();
+        }
         relock(self.events.lock()).clear();
         *relock(self.metrics.lock()) = metrics::Metrics::default();
     }

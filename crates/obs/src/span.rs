@@ -2,11 +2,16 @@
 //!
 //! Each thread keeps a stack of open span paths (parent linkage) and a
 //! local buffer of finished records. Buffers flush into the global
-//! collector when they fill, when a worker's [`ThreadRootGuard`] drops,
-//! when the thread exits, and when a sink renders — so the hot path
-//! takes the global lock rarely, and the merge order is made
-//! deterministic by sorting on `(start_us, seq)` where `seq` is a global
-//! monotone sequence number.
+//! collector when they fill, when the thread's root span closes, when a
+//! worker's [`ThreadRootGuard`] drops, when the thread exits, and when a
+//! sink renders — so the hot path takes the global lock rarely, and the
+//! merge order is made deterministic by sorting on `(start_us, seq)`
+//! where `seq` is a global monotone sequence number.
+//!
+//! Every record carries the collector's generation at span enter, which
+//! `install` and `reset` bump: a flush drops records of an older
+//! generation, so a buffer that outlives its recording window can never
+//! leak into the next one.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -53,7 +58,8 @@ static NEXT_THREAD: AtomicU32 = AtomicU32::new(0);
 static NEXT_SEQ: AtomicU64 = AtomicU64::new(0);
 
 struct LocalBuf {
-    recs: Vec<SpanRecord>,
+    /// Finished records, each with the generation it was entered in.
+    recs: Vec<(u64, SpanRecord)>,
     thread: u32,
 }
 
@@ -67,7 +73,15 @@ impl LocalBuf {
 
     fn flush_into(&mut self, c: &Collector) {
         if !self.recs.is_empty() {
-            relock(c.spans.lock()).append(&mut self.recs);
+            let mut spans = relock(c.spans.lock());
+            // Generations only change under this lock.
+            let live = c.generation.load(Ordering::Relaxed);
+            spans.extend(
+                self.recs
+                    .drain(..)
+                    .filter(|(generation, _)| *generation == live)
+                    .map(|(_, rec)| rec),
+            );
         }
     }
 }
@@ -100,6 +114,7 @@ struct Active {
     start: Instant,
     start_us: u64,
     items: u64,
+    generation: u64,
 }
 
 /// Guard for an open span; the record is written when it drops.
@@ -127,6 +142,8 @@ pub(crate) fn enter(name: &str) -> SpanGuard {
             start: Instant::now(),
             start_us: c.now_us(),
             items: 0,
+            // A reset racing this load at most drops this span as stale.
+            generation: c.generation.load(Ordering::Relaxed),
         }),
     }
 }
@@ -149,9 +166,13 @@ impl Drop for SpanGuard {
     fn drop(&mut self) {
         let Some(a) = self.active.take() else { return };
         let dur_us = a.start.elapsed().as_micros() as u64;
-        let _ = STACK.try_with(|s| {
-            s.borrow_mut().pop();
-        });
+        let root_closed = STACK
+            .try_with(|s| {
+                let mut s = s.borrow_mut();
+                s.pop();
+                s.is_empty()
+            })
+            .unwrap_or(true);
         let _ = BUF.try_with(|b| {
             let mut b = b.borrow_mut();
             let rec = SpanRecord {
@@ -162,8 +183,10 @@ impl Drop for SpanGuard {
                 thread: b.thread,
                 seq: NEXT_SEQ.fetch_add(1, Ordering::Relaxed),
             };
-            b.recs.push(rec);
-            if b.recs.len() >= FLUSH_AT {
+            b.recs.push((a.generation, rec));
+            // A closed root ends the thread's unit of work: publish it
+            // now, not whenever the thread next renders or exits.
+            if root_closed || b.recs.len() >= FLUSH_AT {
                 if let Some(c) = crate::COLLECTOR.get() {
                     b.flush_into(c);
                 }

@@ -32,8 +32,8 @@ use std::sync::Arc;
 
 use asteria_compiler::{compile_program, Arch};
 use asteria_core::{
-    encode_function, extract_binary_resilient_with, extract_function_with, function_similarity,
-    AsteriaModel, FunctionEncoding, DEFAULT_INLINE_BETA,
+    encode_function, encode_functions, extract_binary_resilient_with, extract_function_with,
+    function_similarity, AsteriaModel, ExtractedFunction, FunctionEncoding, DEFAULT_INLINE_BETA,
 };
 use asteria_decompiler::{BudgetKind, DecompileLimits};
 use asteria_lang::parse;
@@ -573,16 +573,18 @@ pub(crate) fn build_index_impl(
             bin_timer.observe_seconds("asteria_index_binary_seconds", &[("mode", "warm")]);
             return (functions, cached.report, fingerprint, None);
         }
-        // Cold: the full resilient extraction + encoding pipeline.
+        // Cold: the full resilient extraction, then the binary's
+        // functions encoded as one forest.
         let extraction = extract_binary_resilient_with(binary, inline_beta, limits);
-        let functions: Vec<IndexedFunction> = extraction
-            .successes()
-            .map(|f| IndexedFunction {
+        let extracted: Vec<&ExtractedFunction> = extraction.successes().collect();
+        let functions: Vec<IndexedFunction> = encode_functions(model, &extracted)
+            .into_iter()
+            .map(|encoding| IndexedFunction {
                 image: ii,
                 binary: bi,
-                name: f.name.clone(),
-                encoding: encode_function(model, f),
-                ground_truth: attach_truth(&f.name),
+                name: encoding.name.clone(),
+                ground_truth: attach_truth(&encoding.name),
+                encoding,
             })
             .collect();
         let entry = CachedBinary {

@@ -120,10 +120,18 @@ fn counters_are_identical_at_every_thread_count() {
             .map(|(_, v)| *v)
             .expect("encoded counter present");
         assert!(encoded > 0, "{threads} threads");
+        // Every binarized node counts once; the kernel evaluates each
+        // distinct subtree of a binary once, so it runs fewer cells.
+        let cells = counters["asteria_treelstm_cells_total"];
+        let evaluated = counters["asteria_treelstm_cells_evaluated_total"];
+        assert!(
+            0 < evaluated && evaluated < cells,
+            "{threads} threads: {evaluated} of {cells} cells evaluated"
+        );
 
         // …and the *entire* counter map — per-arch decompile tallies,
-        // budget/outcome taxonomies, cache stats — must not depend on
-        // the worker count.
+        // budget/outcome taxonomies, cache stats, Tree-LSTM cells — must
+        // not depend on the worker count.
         match &reference {
             None => reference = Some(counters),
             Some(want) => assert_eq!(
